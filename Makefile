@@ -5,8 +5,8 @@
 
 PYTEST = PYTHONPATH=src python -m pytest -x -q
 
-.PHONY: verify test unit chaos bench bench-smoke bench-check telemetry-demo \
-	store-demo
+.PHONY: verify test unit chaos bench bench-smoke bench-check perfbench-smoke \
+	telemetry-demo store-demo
 
 # the default pre-merge gate: tier-1 tests, then the hot-path regression
 # check against the newest committed BENCH_<N>.json
@@ -42,6 +42,12 @@ bench-smoke:
 bench-check:
 	PYTHONPATH=src python benchmarks/run_bench.py --output /tmp/BENCH.current.json
 	python benchmarks/check_regression.py --current /tmp/BENCH.current.json
+
+# smoke-scale self-test of the end-to-end benchmark (perfbench/README.md):
+# its traced runs resolve every layer entry point the tracer wraps, so a
+# src change that breaks the tracer fails here
+perfbench-smoke:
+	python3 -m pytest perfbench -q
 
 # telemetry walkthrough: one Class-A sample under a telemetry-enabled
 # monitor, full detection narrative printed (docs/observability.md)

@@ -26,14 +26,6 @@ overhead) and writes a machine-comparable JSON report:
   ``tests/test_bench_smoke.py``), engine counters must be identical
   either way, and a small detection campaign must produce bit-identical
   results with telemetry on.
-* ``streaming_digest`` — the ISSUE-7 section: a large append-only file
-  (256 MiB at full scale) written chunk by chunk and closed, with
-  ``streaming_digests`` on vs off.  The streamed close finalises its
-  sdhash from the incremental per-handle stream in O(tail); the whole
-  leg re-reads and digests the full content.  Gates: the digests are
-  bit-identical, a storeless campaign produces identical detection
-  output either way, and at full scale the streamed close is ≥5× faster
-  (``streaming_close_speedup_ge_5``).
 * ``store_persistence`` — the ISSUE-9 section: the single-file on-disk
   baseline store (``repro.store``).  A scaling sweep builds a ``.cdbs``
   at 10k and 100k entries (1M with ``--big``; ~1k in smoke) via the
@@ -106,8 +98,6 @@ DIGEST_MANY_SPEEDUP_FLOOR = 2.0
 STORE_BUILD_SPEEDUP_FLOOR = 3.0
 #: minimum faulted-vs-fault-free ingest throughput gated at full scale
 INGEST_THROUGHPUT_FLOOR = 0.70
-#: minimum streamed-vs-whole-file close speedup gated at full scale
-STREAMING_CLOSE_SPEEDUP_FLOOR = 5.0
 #: maximum store reopen time gated at full scale (header + mmap only)
 STORE_OPEN_CEILING_S = 0.050
 #: minimum open-vs-rebuild ratio for the largest store at full scale
@@ -511,118 +501,6 @@ def batch_digests_identity(identity: dict) -> bool:
             == _result_fingerprint(runs["off"]))
 
 
-# -- streaming incremental digests (ISSUE 7) -------------------------------
-
-
-def streaming_digest_section(file_bytes: int, chunk_bytes: int,
-                             rounds: int) -> dict:
-    """One large append-only file, written chunk by chunk and closed,
-    with ``streaming_digests`` on vs off.
-
-    What the close pays is the thing under test, so the legs pin down
-    everything else: eager close digests (a lazy close defers and would
-    time nothing), a disabled digest LRU (the legs write identical bytes
-    every round, and a key hit would skip the digest being measured),
-    and ``max_inspect_bytes`` raised above the file size (the default
-    4 MiB cap would refuse to digest the file at all — and would drop
-    the stream as ``oversize``).  Legs run interleaved per round, same
-    two-estimator ratio as ``_fast_vs_slow``.
-
-    Text content on purpose: high-entropy random bytes would fire the
-    write-entropy indicator and suspend the writer mid-benchmark.
-    """
-    base = _text(41, chunk_bytes)
-    n_chunks = file_bytes // chunk_bytes
-    chunks = [base] * n_chunks
-
-    def leg(streaming: bool) -> dict:
-        vfs = VirtualFileSystem()
-        vfs._ensure_dirs(DOCUMENTS)
-        config = CryptoDropConfig(streaming_digests=streaming,
-                                  lazy_close_digests=False,
-                                  digest_cache_entries=0,
-                                  max_inspect_bytes=file_bytes * 2)
-        monitor = CryptoDropMonitor(vfs, config).attach()
-        pid = vfs.processes.spawn("writer.exe").pid
-        path = DOCUMENTS / "archive.dat"
-        handle = vfs.open(pid, path, "w", create=True)
-        started = time.perf_counter()
-        for chunk in chunks:
-            vfs.write(pid, handle, chunk)
-        write_s = time.perf_counter() - started
-        started = time.perf_counter()
-        vfs.close(pid, handle)
-        close_s = time.perf_counter() - started
-        record = monitor.engine.cache.get(vfs.peek_stat(path).node_id)
-        digest = (record.base_digest.hexdigest()
-                  if record is not None and record.base_digest is not None
-                  else None)
-        streams = monitor.engine.stream_stats()
-        cache = monitor.engine.cache.digest_cache.stats()
-        monitor.detach()
-        return {"write_s": write_s, "close_s": close_s, "digest": digest,
-                "streams": streams, "cache": cache}
-
-    streamed_close, whole_close, paired = [], [], []
-    streamed_write = whole_write = None
-    streamed = whole = None
-    for _ in range(rounds):
-        streamed = leg(True)
-        whole = leg(False)
-        streamed_close.append(streamed["close_s"])
-        whole_close.append(whole["close_s"])
-        paired.append(whole["close_s"] / streamed["close_s"])
-        streamed_write = min(streamed["write_s"], streamed_write
-                             or streamed["write_s"])
-        whole_write = min(whole["write_s"], whole_write
-                          or whole["write_s"])
-    close_streamed = min(streamed_close)
-    close_whole = min(whole_close)
-    speedup = max(max(paired), close_whole / close_streamed)
-    stream_stats = streamed["streams"]
-    return {
-        "file_bytes": file_bytes,
-        "chunk_bytes": chunk_bytes,
-        "chunks": n_chunks,
-        "seconds_close_streamed": round(close_streamed, 6),
-        "seconds_close_whole": round(close_whole, 6),
-        "close_speedup": round(speedup, 2),
-        "seconds_writes_streamed": round(streamed_write, 6),
-        "seconds_writes_whole": round(whole_write, 6),
-        "streams_finalized": stream_stats["finalized"],
-        "stream_fallbacks": stream_stats["fallbacks"],
-        # every content byte reached the digest incrementally: the close
-        # itself digested O(tail), not O(file)
-        "bytes_streamed": stream_stats["bytes_streamed"],
-        "bytes_digested_per_close": streamed["cache"]["bytes_digested"],
-        "incremental_bytes_per_close": (
-            stream_stats["bytes_streamed"]
-            // max(1, stream_stats["finalized"])),
-        "digests_identical": (streamed["digest"] is not None
-                              and streamed["digest"] == whole["digest"]),
-    }
-
-
-def streaming_digests_identity(identity: dict) -> bool:
-    """Detection output must be independent of ``streaming_digests``.
-
-    Storeless, with the buffered threshold at zero, so every in-place
-    rewrite actually runs the incremental pipeline rather than resolving
-    from the store or staying buffered.
-    """
-    corpus = _bench_corpus(identity["n_files"], identity["n_dirs"])
-    profiles = _bench_cohort(identity["cohort"])
-    runs = {}
-    for label, streaming in (("on", True), ("off", False)):
-        config = CryptoDropConfig(streaming_digests=streaming,
-                                  stream_digest_min_bytes=0)
-        runs[label] = run_campaign([instantiate(p) for p in profiles],
-                                   corpus, config,
-                                   use_baseline_store=False)
-    return (_result_fingerprint(runs["on"])
-            == _result_fingerprint(runs["off"]))
-
-
 # -- persistent baseline store (ISSUE 9) -----------------------------------
 
 
@@ -910,8 +788,6 @@ def run(smoke: bool = False, big: bool = False) -> dict:
         batch_repeats, batch_scalar_repeats = 3, 2
         ingest = dict(endpoints=8, stream_events=200,
                       n_files=24, n_dirs=5, rounds=1)
-        streaming = dict(file_bytes=8 << 20, chunk_bytes=256 * 1024,
-                         rounds=2)
         store_persist = dict(sizes=[(1000, 900)], open_repeats=3,
                              sweep_lookups=400, hot_entries=256, workers=2)
     else:
@@ -926,8 +802,6 @@ def run(smoke: bool = False, big: bool = False) -> dict:
         batch_repeats, batch_scalar_repeats = 9, 4
         ingest = dict(endpoints=64, stream_events=600,
                       n_files=40, n_dirs=8, rounds=2)
-        streaming = dict(file_bytes=256 << 20, chunk_bytes=1 << 20,
-                         rounds=3)
         store_persist = dict(sizes=[(10_000, 900), (100_000, 900)],
                              open_repeats=7, sweep_lookups=4000,
                              hot_entries=1024, workers=2)
@@ -990,12 +864,6 @@ def run(smoke: bool = False, big: bool = False) -> dict:
     overhead = telemetry_overhead(campaign, overhead_rounds, identity)
     batch_identical = batch_digests_identity(identity)
 
-    stream_section = streaming_digest_section(**streaming)
-    hot_paths["streaming_close"] = stream_section["seconds_close_streamed"]
-    speedups["streaming_close_vs_whole_file"] = \
-        stream_section["close_speedup"]
-    streaming_identical = streaming_digests_identity(identity)
-
     persistence = store_persistence_section(identity=identity,
                                             **store_persist)
     hot_paths["store_open"] = persistence["open_seconds"]
@@ -1029,12 +897,6 @@ def run(smoke: bool = False, big: bool = False) -> dict:
         "digest_many_identical": digest_many_identical,
         "store_build_identical": store_build["entries_identical"],
         "batch_results_identical": batch_identical,
-        # ISSUE 7: the incremental stream is the same digest by another
-        # route — bit-identical results, and the append-only close never
-        # fell back
-        "streaming_digest_identical": stream_section["digests_identical"],
-        "streaming_results_identical": streaming_identical,
-        "streaming_no_fallbacks": not stream_section["stream_fallbacks"],
         # ISSUE 9: the persistent store is the same store by another
         # route — dict and mmap backends produce bit-identical verdicts
         # from identical fingerprints, pristine rerun sweeps digest
@@ -1069,9 +931,6 @@ def run(smoke: bool = False, big: bool = False) -> dict:
             >= STORE_BUILD_SPEEDUP_FLOOR)
         invariants["ingest_throughput_ratio_ge_0p7"] = (
             resilience["throughput_ratio"] >= INGEST_THROUGHPUT_FLOOR)
-        invariants["streaming_close_speedup_ge_5"] = (
-            stream_section["close_speedup"]
-            >= STREAMING_CLOSE_SPEEDUP_FLOOR)
         invariants["store_open_le_50ms"] = (
             persistence["open_seconds"] <= STORE_OPEN_CEILING_S)
         invariants["store_open_vs_rebuild_ge_100"] = (
@@ -1092,7 +951,6 @@ def run(smoke: bool = False, big: bool = False) -> dict:
         "store_build": {k: (round(v, 2) if k == "speedup" else v)
                         for k, v in store_build.items()},
         "digest_batch_documents": batch_docs,
-        "streaming_digest": stream_section,
         "store_persistence": persistence,
         "telemetry_overhead": overhead,
         "ingest_resilience": resilience,
@@ -1120,7 +978,7 @@ def validate_report(report: dict) -> list:
     for name in ("sdhash_digest", "compare_batched", "close_heavy_campaign",
                  "campaign_throughput", "digest_many_batch",
                  "store_build_batched", "ingest_session",
-                 "streaming_close", "store_open"):
+                 "store_open"):
         entry = hot_paths.get(name)
         need(isinstance(entry, dict)
              and isinstance(entry.get("seconds"), (int, float))
@@ -1133,18 +991,9 @@ def validate_report(report: dict) -> list:
                  "campaign_store_vs_bench2_path",
                  "digest_many_vs_per_file",
                  "store_build_batched_vs_serial",
-                 "streaming_close_vs_whole_file",
                  "store_open_vs_rebuild"):
         need(isinstance(speedups.get(name), (int, float)),
              f"speedups[{name}] missing")
-    stream_section = report.get("streaming_digest", {})
-    for name in ("file_bytes", "chunk_bytes", "chunks",
-                 "seconds_close_streamed", "seconds_close_whole",
-                 "close_speedup", "seconds_writes_streamed",
-                 "seconds_writes_whole", "streams_finalized",
-                 "bytes_streamed", "bytes_digested_per_close",
-                 "incremental_bytes_per_close", "digests_identical"):
-        need(name in stream_section, f"streaming_digest[{name}] missing")
     store_build = report.get("store_build", {})
     for name in ("documents", "entries", "seconds_batched", "speedup",
                  "entries_identical"):
@@ -1197,9 +1046,6 @@ def validate_report(report: dict) -> list:
                  "ingest_no_cross_tenant_events",
                  "ingest_shed_observable",
                  "ingest_nonshed_unchanged",
-                 "streaming_digest_identical",
-                 "streaming_results_identical",
-                 "streaming_no_fallbacks",
                  "store_backend_results_identical",
                  "store_fingerprint_identical",
                  "store_rerun_bytes_digested_zero",
@@ -1213,10 +1059,6 @@ def validate_report(report: dict) -> list:
         need(isinstance(invariants.get("ingest_throughput_ratio_ge_0p7"),
                         bool),
              "invariants[ingest_throughput_ratio_ge_0p7] missing at "
-             "full scale")
-        need(isinstance(invariants.get("streaming_close_speedup_ge_5"),
-                        bool),
-             "invariants[streaming_close_speedup_ge_5] missing at "
              "full scale")
         need(isinstance(invariants.get("store_open_le_50ms"), bool),
              "invariants[store_open_le_50ms] missing at full scale")
@@ -1256,11 +1098,6 @@ def main(argv=None) -> int:
     print(f"  telemetry: disabled {overhead['disabled_vs_baseline']:.4f}x "
           f"baseline, enabled {overhead['enabled_vs_disabled']:.2f}x "
           f"disabled, {overhead['events_captured']} events")
-    stream_section = report["streaming_digest"]
-    print(f"  streaming: {stream_section['file_bytes'] >> 20} MiB close "
-          f"{stream_section['seconds_close_streamed'] * 1000:.1f} ms "
-          f"streamed vs {stream_section['seconds_close_whole'] * 1000:.1f}"
-          f" ms whole ({stream_section['close_speedup']:.1f}x)")
     persistence = report["store_persistence"]
     largest = persistence["scaling"][-1]
     print(f"  store: {largest['files']} files reopen "

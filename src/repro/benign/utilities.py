@@ -169,7 +169,11 @@ class ResophNotes(BenignApplication):
     def run(self, ctx) -> None:
         rng = random.Random(self.seed)
         notes = ctx.docs_root / "Notes"
-        for name in list(ctx.listdir(notes))[:3]:
+        # the first three regular files in listing order: corpora may
+        # give Notes\ subfolders.  walk's first step is one listdir, so
+        # the op stream is the same as listing the folder directly.
+        _, _, files = next(ctx.walk(notes))
+        for name in files[:3]:
             path = notes / name
             text = ctx.read_file(path)
             ctx.write_file(path, text + b"\nedited: follow up tomorrow\n")

@@ -119,17 +119,6 @@ class CryptoDropConfig:
     #: bit-identical with the knob on or off; turn off to force the
     #: scalar reference path.
     batch_digests: bool = True
-    #: digest append-only writes incrementally as they land
-    #: (``StreamingDigestState``), making the close path O(tail) instead
-    #: of O(file) for large sequential writers.  Detection output is
-    #: bit-identical on or off — non-append access falls back to the
-    #: whole-content path (counted per reason in ``stream_stats()``).
-    streaming_digests: bool = True
-    #: below this many written bytes a handle's stream stays *buffered*
-    #: (chunk refs only, zero numpy work per write) — protects small-file
-    #: campaign throughput; crossing the threshold replays the buffer
-    #: through the incremental pipeline
-    stream_digest_min_bytes: int = 1 << 20
     #: force an InspectionScheduler flush when deferred ``pending_content``
     #: bytes exceed this watermark (bounds close-path memory on monitors
     #: that defer many large files; 0 disables the cap)

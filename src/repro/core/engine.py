@@ -28,15 +28,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..entropy import corrected_entropy_from_counts
 from ..fs.errors import FsError
 from ..fs.events import Decision, FsOperation, OpKind
 from ..fs.filters import FilterDriver, PostVerdict
 from ..fs.vfs import SYSTEM_PID, VirtualFileSystem
 from ..magic import identify
-from ..simhash.sdhash import StreamingDigestState
-from ..telemetry.events import (IndicatorFired, ProcessSuspended,
-                                StreamDigestFinalized)
+from ..telemetry.events import IndicatorFired, ProcessSuspended
 from .config import CryptoDropConfig
 from .detection import AlertPolicy, Detection, SuspendPolicy
 from .filestate import FileStateCache, TrackedFile
@@ -94,35 +91,12 @@ class AnalysisEngine(FilterDriver):
                 self.cache, telemetry=telemetry,
                 pending_bytes_cap=self.config.scheduler_pending_bytes_cap)
             self.cache.scheduler = self.scheduler
-        #: incremental close-path digests: append-only write streams feed
-        #: a per-handle StreamingDigestState so finalising at close is
-        #: O(tail) instead of O(file).  sdhash-only (the ctph backend has
-        #: no incremental kernel); any non-append access falls back to the
-        #: whole-content path, counted per reason in stream_fallbacks.
-        self._streaming_digests = (self.config.streaming_digests
-                                   and self.config.enable_similarity
-                                   and self.config.similarity_backend
-                                   == "sdhash")
-        #: handle_id → (node_id, StreamingDigestState)
-        self._streams: Dict[int, tuple] = {}
-        #: node_id → owning handle_id — a write through any *other* handle
-        #: means the stream no longer mirrors the file bytes
-        self._stream_nodes: Dict[int, int] = {}
-        self.streams_started = 0
-        self.streams_finalized = 0
-        self.bytes_streamed = 0
-        self.stream_fallbacks: Dict[str, int] = {}
         self.detections: List[Detection] = []
         self._proc: Dict[int, _ProcessState] = {}
         self._whitelist: set = set()
         #: funneling memo: node_id → identified type name for offset-0
         #: reads of untracked nodes (invalidated on write/delete)
         self._read_type_memo: Dict[int, str] = {}
-        #: per-handle running byte histogram: handle_id → [counts, total]
-        #: — each write payload is bincounted exactly once, feeding both
-        #: the per-op entropy mean and the handle's cumulative stream
-        #: entropy; dropped when the handle closes
-        self._write_hists: Dict[int, list] = {}
         self._pending_cost_us = 0.0
         self.op_counts: Dict[str, int] = {}
         self.bytes_inspected = 0
@@ -241,10 +215,6 @@ class AnalysisEngine(FilterDriver):
 
     def _on_open(self, op: FsOperation) -> None:
         self._pending_cost_us += self.config.latency.open_us
-        if op.truncate and self._stream_nodes and op.node_id is not None:
-            # another handle just truncated the node: its owner's stream
-            # no longer spans the file from byte 0
-            self._discard_node_stream(op.node_id, "truncate")
 
     def _on_read(self, op: FsOperation) -> None:
         self._pending_cost_us += self.config.latency.read_us
@@ -281,24 +251,13 @@ class AnalysisEngine(FilterDriver):
             self._read_type_memo.pop(op.node_id, None)
         if not op.data:
             return
-        if self._streaming_digests:
-            self._stream_feed(op)
         state = self._state(op.pid)
         if not self.config.enable_entropy:
             return
         # one bincount per payload: the chunk histogram feeds the per-op
-        # weighted mean (bit-identical to hashing the raw bytes) and
-        # accumulates into the handle's running stream histogram
+        # weighted mean (bit-identical to hashing the raw bytes)
         counts = np.bincount(np.frombuffer(op.data, dtype=np.uint8),
                              minlength=256)
-        if op.handle_id is not None:
-            hist = self._write_hists.get(op.handle_id)
-            if hist is None:
-                self._write_hists[op.handle_id] = [counts.copy(),
-                                                   len(op.data)]
-            else:
-                hist[0] += counts
-                hist[1] += len(op.data)
         delta = state.entropy.on_write_counts(counts, len(op.data))
         if delta is not None:
             self._apply(op, IndicatorHit(
@@ -306,91 +265,8 @@ class AnalysisEngine(FilterDriver):
                 primary_flag="entropy",
                 detail=f"delta={delta:.3f}"))
 
-    # -- streaming digest plumbing -------------------------------------
-
-    def _stream_feed(self, op: FsOperation) -> None:
-        """Route a write payload into its handle's incremental digest.
-
-        A stream starts lazily at a handle's first offset-0 write (the
-        VFS assigns handle ids after OPEN/CREATE dispatch, so opens can't
-        start one) and stays valid only while this handle remains the
-        node's sole writer and every write lands at the current end.
-        Anything else drops the stream — close then takes the
-        whole-content path, so correctness never depends on the pattern.
-        """
-        node_id, handle_id = op.node_id, op.handle_id
-        if node_id is None or handle_id is None:
-            return
-        owner = self._stream_nodes.get(node_id)
-        if owner is not None and owner != handle_id:
-            self._drop_stream(owner, "handle_interleave")
-            owner = None
-        entry = self._streams.get(handle_id)
-        if entry is None:
-            if (owner is not None or op.offset != 0
-                    or len(op.data) > self.config.max_inspect_bytes):
-                return
-            state = StreamingDigestState(
-                self.config.stream_digest_min_bytes)
-            state.update(op.data)
-            self._streams[handle_id] = (node_id, state)
-            self._stream_nodes[node_id] = handle_id
-            self.streams_started += 1
-            return
-        s_node, state = entry
-        if s_node != node_id:
-            self._drop_stream(handle_id, "node_mismatch")
-            return
-        if op.offset != state.total:
-            self._drop_stream(handle_id, "nonsequential")
-            return
-        if state.total + len(op.data) > self.config.max_inspect_bytes:
-            # the close path won't digest oversize content anyway
-            self._drop_stream(handle_id, "oversize")
-            return
-        state.update(op.data)
-
-    def _drop_stream(self, handle_id: int,
-                     reason: Optional[str] = None) -> Optional[
-                         StreamingDigestState]:
-        entry = self._streams.pop(handle_id, None)
-        if entry is None:
-            return None
-        node_id, state = entry
-        if self._stream_nodes.get(node_id) == handle_id:
-            del self._stream_nodes[node_id]
-        if reason is not None:
-            self._count_stream_fallback(reason)
-        return state
-
-    def _discard_node_stream(self, node_id: Optional[int],
-                             reason: Optional[str] = None) -> None:
-        if node_id is None:
-            return
-        owner = self._stream_nodes.get(node_id)
-        if owner is not None:
-            self._drop_stream(owner, reason)
-
-    def _count_stream_fallback(self, reason: str) -> None:
-        self.stream_fallbacks[reason] = \
-            self.stream_fallbacks.get(reason, 0) + 1
-        if self.telemetry is not None:
-            self.telemetry.stream_fallbacks.inc(reason=reason)
-
-    def _on_truncate(self, op: FsOperation) -> None:
-        # stream invalidation only — TRUNCATE ops were previously
-        # undispatched, and their baseline capture already happens pre-op
-        if self._stream_nodes and op.node_id is not None:
-            self._discard_node_stream(op.node_id, "truncate")
-
     def _on_close(self, op: FsOperation) -> None:
         lat = self.config.latency
-        stream: Optional[StreamingDigestState] = None
-        if op.handle_id is not None:
-            if self._write_hists:
-                self._write_hists.pop(op.handle_id, None)
-            if self._streams:
-                stream = self._drop_stream(op.handle_id)
         if not op.wrote_since_open or op.node_id is None:
             self._pending_cost_us += lat.other_us
             return
@@ -407,17 +283,7 @@ class AnalysisEngine(FilterDriver):
                 record = self.cache.track_new(op.node_id, op.path)
             else:
                 return
-        if stream is not None:
-            if not stream.streaming:
-                # buffered refs only — the stream never did numpy work,
-                # so the whole-content path costs the same (not a fallback)
-                stream = None
-            elif stream.total != len(content):
-                # the file holds bytes this stream never saw (pre-existing
-                # longer content, out-of-band writes): fall back
-                self._count_stream_fallback("length_mismatch")
-                stream = None
-        self._inspect_version(op, record, content, stream=stream)
+        self._inspect_version(op, record, content)
 
     def _on_rename(self, op: FsOperation) -> None:
         lat = self.config.latency
@@ -428,10 +294,6 @@ class AnalysisEngine(FilterDriver):
         clobbered_id = op.dest_node_id if op.dest_existed else None
         if clobbered_id is not None and self._read_type_memo:
             self._read_type_memo.pop(clobbered_id, None)
-        if clobbered_id is not None and self._stream_nodes:
-            # the clobbered node leaves the namespace; its stream (if any)
-            # can never reach a close-time inspection
-            self._discard_node_stream(clobbered_id)
         clobbered_tracked = (clobbered_id is not None
                              and self.cache.is_tracked(clobbered_id))
         record = self.cache.on_rename(op.node_id, op.dest_path, clobbered_id)
@@ -459,8 +321,6 @@ class AnalysisEngine(FilterDriver):
         self._pending_cost_us += self.config.latency.delete_us
         if op.node_id is not None and self._read_type_memo:
             self._read_type_memo.pop(op.node_id, None)
-        if op.node_id is not None and self._stream_nodes:
-            self._discard_node_stream(op.node_id)
         was_tracked = self.cache.is_tracked(op.node_id)
         self.cache.on_delete(op.node_id)
         if was_tracked or self.config.is_protected(op.path):
@@ -471,7 +331,7 @@ class AnalysisEngine(FilterDriver):
     # ------------------------------------------------------------------
 
     def _inspect_version(self, op: FsOperation, record: TrackedFile,
-                         content: bytes, stream=None) -> None:
+                         content: bytes) -> None:
         """Close/link-time comparison of the new version to the baseline.
 
         The single-digest close path: ``cache.inspect`` types and digests
@@ -480,10 +340,7 @@ class AnalysisEngine(FilterDriver):
         the similarity comparison and the baseline refresh below.  With
         lazy digests the digest is requested only when this close will
         actually compare against a digestable baseline; otherwise the new
-        version's digest is deferred until something consumes it — except
-        when a validated ``stream`` is in hand: finalising it now costs
-        O(tail), so deferring (and later re-reading the whole file) would
-        only waste the incremental work.
+        version's digest is deferred until something consumes it.
         """
         state = self._state(op.pid)
         comparing = (record.has_baseline and not record.born_empty
@@ -492,22 +349,11 @@ class AnalysisEngine(FilterDriver):
             # the baseline side must exist before we can know whether the
             # new version's digest will be consumed
             self.cache.materialise_baseline(record)
-        want_digest = (stream is not None
-                       or not self.config.lazy_close_digests
+        want_digest = (not self.config.lazy_close_digests
                        or (comparing
                            and (record.base_digest is not None
                                 or record.base_ctph is not None)))
-        inspection = self.cache.inspect(content, want_digest=want_digest,
-                                        stream=stream)
-        if stream is not None and stream.consumed:
-            self.streams_finalized += 1
-            self.bytes_streamed += len(content)
-            if self.telemetry is not None:
-                self.telemetry.incremental_digest_bytes.inc(len(content))
-                self.telemetry.bus.emit(StreamDigestFinalized(
-                    op.timestamp_us, path=str(op.path), size=len(content),
-                    features=stream.n_features,
-                    chunks=stream.chunks_consumed))
+        inspection = self.cache.inspect(content, want_digest=want_digest)
         new_type = inspection.file_type
         self.bytes_inspected += len(content)
         self._charge_inspection(len(content))
@@ -552,7 +398,6 @@ class AnalysisEngine(FilterDriver):
         OpKind.OPEN: _on_open,
         OpKind.READ: _on_read,
         OpKind.WRITE: _on_write,
-        OpKind.TRUNCATE: _on_truncate,
         OpKind.CLOSE: _on_close,
         OpKind.RENAME: _on_rename,
         OpKind.DELETE: _on_delete,
@@ -682,15 +527,6 @@ class AnalysisEngine(FilterDriver):
             "bytes_inspected": self.bytes_inspected,
             "bytes_closed": self.bytes_closed,
             "op_wall_us": dict(self.op_wall_us),
-            # lifetime streaming counters travel; in-flight streams do
-            # not (their hashers cannot serialise exactly once restored
-            # mid-campaign) — a restored engine simply starts no stream
-            # mid-file, so those closes take the whole-content path with
-            # identical detection output
-            "streams": {"started": self.streams_started,
-                        "finalized": self.streams_finalized,
-                        "bytes_streamed": self.bytes_streamed,
-                        "fallbacks": dict(self.stream_fallbacks)},
             # metrics-registry lifetime counters travel (like the digest
             # cache's counters do); buffered ring events never checkpoint
             "telemetry": (self.telemetry.registry.checkpoint()
@@ -729,13 +565,8 @@ class AnalysisEngine(FilterDriver):
         # rejecting the snapshot.
         self.bytes_closed = int(state.get("bytes_closed", 0))
         self.op_wall_us = dict(state.get("op_wall_us", {}))
-        streams = state.get("streams", {})
-        self.streams_started = int(streams.get("started", 0))
-        self.streams_finalized = int(streams.get("finalized", 0))
-        self.bytes_streamed = int(streams.get("bytes_streamed", 0))
-        self.stream_fallbacks = dict(streams.get("fallbacks", {}))
-        self._streams.clear()
-        self._stream_nodes.clear()
+        # older checkpoints may carry a "streams" block (counters of the
+        # removed streaming-digest path); it is ignored
         metric_state = state.get("telemetry")
         if metric_state and self.telemetry is not None:
             self.telemetry.registry.restore(metric_state)
@@ -756,18 +587,6 @@ class AnalysisEngine(FilterDriver):
         return self.scoreboard.row(self._root_pid(pid),
                                    self._proc_name(self._root_pid(pid)))
 
-    def stream_stats(self) -> dict:
-        """Incremental-digest observability: stream lifecycle counters
-        plus the per-reason fallback tally (the rate operators watch)."""
-        return {
-            "enabled": self._streaming_digests,
-            "started": self.streams_started,
-            "finalized": self.streams_finalized,
-            "bytes_streamed": self.bytes_streamed,
-            "in_flight": len(self._streams),
-            "fallbacks": dict(self.stream_fallbacks),
-        }
-
     def store_stats(self) -> Optional[dict]:
         """Attached baseline store's storage/residency view, or ``None``.
 
@@ -783,14 +602,6 @@ class AnalysisEngine(FilterDriver):
         stats["entries"] = len(store)
         stats["fingerprint"] = store.fingerprint
         return stats
-
-    def stream_entropy_of(self, handle_id: int) -> Optional[float]:
-        """Corrected entropy of everything written through a live handle,
-        served from its running histogram — no re-count of the stream."""
-        hist = self._write_hists.get(handle_id)
-        if hist is None:
-            return None
-        return corrected_entropy_from_counts(hist[0], hist[1])
 
     def entropy_state_of(self, pid: int) -> ProcessEntropyState:
         return self._state(pid).entropy

@@ -106,8 +106,7 @@ class DigestCache:
     """
 
     __slots__ = ("capacity", "hits", "misses", "evictions",
-                 "bytes_digested", "bytes_streamed",
-                 "store_hits", "store_misses", "deferred",
+                 "bytes_digested", "store_hits", "store_misses", "deferred",
                  "telemetry", "_entries")
 
     def __init__(self, capacity: int = 256) -> None:
@@ -120,10 +119,6 @@ class DigestCache:
         self.misses = 0
         self.evictions = 0
         self.bytes_digested = 0
-        #: subset of ``bytes_digested`` whose digest came from an
-        #: incremental StreamingDigestState finalize (O(tail) close) —
-        #: the content was never re-read at close time
-        self.bytes_streamed = 0
         #: lookups resolved from an attached corpus BaselineStore
         self.store_hits = 0
         #: lookups that probed an attached store and fell through
@@ -175,7 +170,6 @@ class DigestCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "bytes_digested": self.bytes_digested,
-            "bytes_streamed": self.bytes_streamed,
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
             "deferred": self.deferred,
@@ -189,18 +183,18 @@ class DigestCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "bytes_digested": self.bytes_digested,
-            "bytes_streamed": self.bytes_streamed,
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
             "deferred": self.deferred,
         }
 
     def load_stats(self, state: dict) -> None:
+        # keys this cache no longer counts (``bytes_streamed`` in older
+        # checkpoints) are ignored
         self.hits = int(state.get("hits", 0))
         self.misses = int(state.get("misses", 0))
         self.evictions = int(state.get("evictions", 0))
         self.bytes_digested = int(state.get("bytes_digested", 0))
-        self.bytes_streamed = int(state.get("bytes_streamed", 0))
         self.store_hits = int(state.get("store_hits", 0))
         self.store_misses = int(state.get("store_misses", 0))
         self.deferred = int(state.get("deferred", 0))
@@ -263,8 +257,7 @@ class FileStateCache:
     # -- inspection ------------------------------------------------------------
 
     def inspect(self, content: bytes, want_digest: bool = True,
-                key: Optional[bytes] = None,
-                stream=None) -> InspectionResult:
+                key: Optional[bytes] = None) -> InspectionResult:
         """Identify and digest ``content`` once, through store + LRU.
 
         Resolution order: digest LRU (content already inspected by this
@@ -275,21 +268,10 @@ class FileStateCache:
         ``deferred``, and never cached — callers retain the bytes and
         re-inspect when a comparison actually needs the digest, passing
         back the capture-time ``key`` so the content is hashed once.
-
-        ``stream`` is an in-flight
-        :class:`~repro.simhash.sdhash.StreamingDigestState` whose bytes
-        the caller has validated to equal ``content`` (sdhash backend
-        only).  It supplies the cache key from its running hasher and,
-        on the live path, the digest via an O(tail) ``finalize()`` —
-        bit-identical to ``sdhash(content)``, without re-reading the
-        content.  LRU/store hits still win (the stream is then simply
-        discarded, unfinalized).
         """
         if not isinstance(content, bytes):
             content = bytes(content)
         dc = self.digest_cache
-        if key is None and stream is not None:
-            key = stream.key()
         if key is None and (dc.capacity > 0
                             or self.baseline_store is not None):
             key = dc.key(content)
@@ -325,11 +307,7 @@ class FileStateCache:
         if can_digest:
             dc.bytes_digested += len(content)
             if self.backend == "sdhash":
-                if stream is not None:
-                    digest = stream.finalize()
-                    dc.bytes_streamed += len(content)
-                else:
-                    digest = _sdhash(content)
+                digest = _sdhash(content)
             else:
                 sig = ctph(content)
         result = InspectionResult(file_type, digest, sig, len(content),

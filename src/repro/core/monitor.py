@@ -228,6 +228,5 @@ class CryptoDropMonitor:
             "digest_cache": self.engine.cache.digest_cache.stats(),
             "scheduler": (None if self.engine.scheduler is None
                           else self.engine.scheduler.stats()),
-            "streaming": self.engine.stream_stats(),
             "op_wall_us": dict(self.engine.op_wall_us),
         }

@@ -465,7 +465,5 @@ class MonitorShard:
             "checkpoints": self.checkpoints,
             "queue": self.queue.stats(),
             "breaker": None if self.breaker is None else self.breaker.stats(),
-            "streaming": (None if self.supervisor.monitor is None
-                          else self.supervisor.monitor.engine.stream_stats()),
             "supervisor": self.supervisor.stats(),
         }

@@ -490,9 +490,13 @@ class StreamingDigestState:
     feature positions, plus the finished filters (256 B / 160 features).
 
     A running ``blake2b-16`` mirrors :class:`~repro.core.filestate.DigestCache`
-    keys so the close path gets its cache key in O(1) too; it is dropped
+    keys so a caller gets the stream's cache key in O(1) too; it is dropped
     by :meth:`to_state` (hashers do not serialise), so restored states
     return ``None`` from :meth:`key`.
+
+    The detection engine does not use this class: at the default 4 MiB
+    inspection cap every close digests the whole content lazily, which
+    costs less than feeding every write through a stream.
     """
 
     __slots__ = ("total", "min_stream_bytes", "consumed", "chunks_consumed",

@@ -30,8 +30,7 @@ from .events import (EVENT_TYPES, BaselineResolved, BreakerTripped,
                      FaultInjected, IndicatorFired, LoadShed,
                      ProcessSuspended, ScoreDelta, ShardRestarted,
                      StoreBuilt, StoreOpened, StorePageIn,
-                     StreamDigestFinalized, TelemetryEvent,
-                     UnionBoost, event_from_dict, events_as_dicts)
+                     TelemetryEvent, UnionBoost, event_from_dict, events_as_dicts)
 from .export import (JsonlWriter, read_jsonl, render_prometheus,
                      validate_exposition, write_jsonl)
 from .metrics import (BATCH_SIZE_BUCKETS, FILES_LOST_BUCKETS,
@@ -49,7 +48,7 @@ __all__ = [
     # events
     "TelemetryEvent", "IndicatorFired", "ScoreDelta", "UnionBoost",
     "ProcessSuspended", "BaselineResolved", "CacheEvicted",
-    "DigestBatchFlushed", "StreamDigestFinalized",
+    "DigestBatchFlushed",
     "FaultInjected", "StoreBuilt", "StoreOpened", "StorePageIn",
     "LoadShed", "BreakerTripped", "ShardRestarted", "EventBus",
     "EVENT_TYPES", "event_from_dict", "events_as_dicts",
@@ -117,14 +116,6 @@ class TelemetrySession:
         self.scheduler_pending_bytes = r.gauge(
             "cryptodrop_scheduler_pending_bytes",
             "content bytes retained by deferred (pending) inspections")
-        self.incremental_digest_bytes = r.counter(
-            "cryptodrop_incremental_digest_bytes_total",
-            "close-path content bytes whose digest was finalised from an "
-            "incremental per-handle stream instead of a whole-file read")
-        self.stream_fallbacks = r.counter(
-            "cryptodrop_stream_digest_fallback_total",
-            "streaming digests abandoned for the whole-content path, "
-            "per reason (nonsequential/handle_interleave/truncate/...)")
         self.faults = r.counter(
             "cryptodrop_faults_injected_total",
             "injected faults, per fault kind")

@@ -38,7 +38,7 @@ from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Type
 __all__ = [
     "TelemetryEvent", "IndicatorFired", "ScoreDelta", "UnionBoost",
     "ProcessSuspended", "BaselineResolved", "CacheEvicted",
-    "DigestBatchFlushed", "StreamDigestFinalized",
+    "DigestBatchFlushed",
     "FaultInjected", "StoreBuilt", "StoreOpened", "StorePageIn",
     "LoadShed", "BreakerTripped", "ShardRestarted", "EventBus",
     "EVENT_TYPES", "event_from_dict", "events_as_dicts",
@@ -161,24 +161,6 @@ class DigestBatchFlushed(TelemetryEvent):
 
 
 @dataclass(frozen=True)
-class StreamDigestFinalized(TelemetryEvent):
-    """A close served its similarity digest from an incremental
-    per-handle stream (O(tail) finalize — the content was never re-read).
-
-    ``chunks`` is how many write chunks the stream consumed; closes that
-    instead fell back to the whole-content path are visible through the
-    ``cryptodrop_stream_digest_fallback_total`` counter, per reason.
-    """
-
-    kind: ClassVar[str] = "stream_digest_finalized"
-
-    path: str = ""
-    size: int = 0
-    features: int = 0
-    chunks: int = 0
-
-
-@dataclass(frozen=True)
 class FaultInjected(TelemetryEvent):
     """The fault layer misbehaved on purpose (``repro.faults``)."""
 
@@ -287,7 +269,7 @@ EVENT_TYPES: Dict[str, Type[TelemetryEvent]] = {
     cls.kind: cls
     for cls in (IndicatorFired, ScoreDelta, UnionBoost, ProcessSuspended,
                 BaselineResolved, CacheEvicted, DigestBatchFlushed,
-                StreamDigestFinalized, FaultInjected, StoreBuilt,
+                FaultInjected, StoreBuilt,
                 StoreOpened, StorePageIn,
                 LoadShed, BreakerTripped, ShardRestarted)
 }

@@ -375,20 +375,6 @@ def engine_snapshot(engine,
     for op_kind, total_us in sorted(stats.op_wall_us.items()):
         wall.set(round(total_us, 3), kind=op_kind)
     eng = getattr(engine, "engine", engine)
-    if callable(getattr(eng, "stream_stats", None)):
-        streaming = eng.stream_stats()
-        streams = registry.gauge(
-            "cryptodrop_stream_digests",
-            "incremental close-path digest stream lifecycle")
-        streams.set(streaming["started"], event="started")
-        streams.set(streaming["finalized"], event="finalized")
-        streams.set(streaming["in_flight"], event="in_flight")
-        volume.set(streaming["bytes_streamed"], path="streamed")
-        fallbacks = registry.gauge(
-            "cryptodrop_stream_digest_fallbacks",
-            "streams abandoned for the whole-content path, per reason")
-        for reason, count in sorted(streaming["fallbacks"].items()):
-            fallbacks.set(count, reason=reason)
     baseline_store = getattr(getattr(eng, "cache", None),
                              "baseline_store", None)
     if baseline_store is not None and \

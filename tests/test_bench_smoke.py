@@ -151,37 +151,6 @@ class TestTelemetryOverhead:
         assert any("telemetry_counters_identical" in p for p in problems)
 
 
-class TestStreamingDigestSection:
-    def test_streamed_digest_identical_to_whole_file(self, report):
-        # the ISSUE-7 correctness bar: the incremental stream is the
-        # same digest by another route, bit for bit
-        assert report["invariants"]["streaming_digest_identical"]
-        assert report["streaming_digest"]["digests_identical"]
-
-    def test_append_only_stream_never_fell_back(self, report):
-        assert report["invariants"]["streaming_no_fallbacks"]
-        section = report["streaming_digest"]
-        assert section["streams_finalized"] >= 1
-        assert section["bytes_streamed"] >= section["file_bytes"]
-
-    def test_campaign_results_identical_streaming_on_off(self, report):
-        assert report["invariants"]["streaming_results_identical"]
-
-    def test_streamed_close_wins(self, report):
-        # the ≥5x bar is gated at full scale
-        # (streaming_close_speedup_ge_5); even an 8 MiB smoke file must
-        # already beat the whole-file digest clearly
-        assert report["speedups"]["streaming_close_vs_whole_file"] > 2.0
-
-    def test_schema_validator_requires_section(self, report):
-        broken = copy.deepcopy(report)
-        del broken["streaming_digest"]["close_speedup"]
-        broken["invariants"].pop("streaming_digest_identical")
-        problems = validate_report(broken)
-        assert any("close_speedup" in p for p in problems)
-        assert any("streaming_digest_identical" in p for p in problems)
-
-
 class TestStorePersistence:
     def test_backend_verdicts_identical(self, report):
         # the ISSUE-9 correctness bar: the mmap backend is storage,

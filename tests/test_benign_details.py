@@ -10,6 +10,7 @@ from repro.benign import (Chrome, Dropbox, MicrosoftWord, MusicBee,
                           UTorrent)
 from repro.benign.base import temp_save_dance
 from repro.core import CryptoDropMonitor
+from repro.corpus import generate
 from repro.corpus.content import make_docx
 from repro.fs import DOCUMENTS, OperationRecorder, OpKind, \
     VirtualFileSystem
@@ -114,6 +115,55 @@ class TestScopeDiscipline:
         result = run_benign(machine, ResophNotes(3))
         assert result.completed
         assert result.final_score <= 15.0
+
+
+class _ListdirResophNotes(ResophNotes):
+    """The original listing: the first three entries of ``Notes``,
+    subfolders included — the op-stream oracle for the fixed app."""
+
+    def run(self, ctx) -> None:
+        rng = random.Random(self.seed)
+        notes = ctx.docs_root / "Notes"
+        for name in list(ctx.listdir(notes))[:3]:
+            path = notes / name
+            text = ctx.read_file(path)
+            ctx.write_file(path, text + b"\nedited: follow up tomorrow\n")
+        ctx.write_file(notes / f"note{rng.randint(10, 99)}.txt",
+                       b"quick capture: call the office\n" * 4)
+
+
+def _notes_ops(machine, app):
+    recorder = OperationRecorder()
+    machine.vfs.filters.attach(recorder)
+    try:
+        result = run_benign(machine, app)
+    finally:
+        machine.vfs.filters.detach(recorder)
+    return result, [(r.kind, str(r.path), str(r.dest_path), r.size)
+                    for r in recorder.records]
+
+
+class TestResophNotesListing:
+    def test_skips_subfolders_of_notes(self):
+        # corpus seed 1337 at perfbench scale gives Notes\ subfolders
+        # that sort among its first three entries
+        machine = VirtualMachine(generate(1337, 1275, 128))
+        machine.snapshot()
+        notes = DOCUMENTS / "Notes"
+        first = list(machine.vfs._resolve_dir(notes).names())[:3]
+        assert any(machine.vfs.peek_stat(notes / n).is_dir for n in first)
+        result = run_benign(machine, ResophNotes(0))
+        assert result.error is None and result.completed
+        assert not result.detected
+
+    def test_op_stream_unchanged_on_default_seed(self):
+        machine = VirtualMachine(generate(2016, 1275, 128))
+        machine.snapshot()
+        fixed, fixed_ops = _notes_ops(machine, ResophNotes(0))
+        listed, listed_ops = _notes_ops(machine, _ListdirResophNotes(0))
+        assert fixed.error is None and listed.error is None
+        assert fixed_ops and fixed_ops == listed_ops
+        assert fixed.final_score == listed.final_score
 
 
 class TestBenignDeterminism:

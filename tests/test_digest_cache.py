@@ -14,7 +14,8 @@ import pytest
 from repro.core import CryptoDropConfig, CryptoDropMonitor
 from repro.core.filestate import DigestCache, FileStateCache
 from repro.corpus.wordlists import paragraphs
-from repro.fs import DOCUMENTS, TEMP, VirtualFileSystem
+from repro.crypto import chacha20_xor
+from repro.fs import DOCUMENTS, ProcessSuspended, TEMP, VirtualFileSystem
 from repro.perfstats import collect
 
 def _text(seed, n=9000):
@@ -109,6 +110,21 @@ def env():
     monitor = CryptoDropMonitor(vfs).attach()
     pid = vfs.processes.spawn("app.exe").pid
     return vfs, monitor, pid
+
+
+def _encrypt_docs(vfs, pid, indices):
+    """Class-A in-place encryption of the given documents; stops quietly
+    once the detector suspends the writer."""
+    try:
+        for i in indices:
+            path = DOCUMENTS / f"doc{i}.txt"
+            handle = vfs.open(pid, path, "rw")
+            data = vfs.read(pid, handle)
+            vfs.seek(pid, handle, 0)
+            vfs.write(pid, handle, chacha20_xor(bytes(32), bytes(12), data))
+            vfs.close(pid, handle)
+    except ProcessSuspended:
+        pass
 
 
 def _rewrite_same(vfs, pid, path):
@@ -231,3 +247,40 @@ class TestCheckpointInteraction:
             VirtualFileSystem(), state)
         assert restored.engine.bytes_closed == 0
         assert restored.engine.cache.digest_cache.hits == 0
+
+    def test_streaming_era_checkpoint_restores_like_a_fresh_one(self):
+        """Checkpoints written while the engine still streamed digests
+        carry a ``streams`` block and a ``bytes_streamed`` cache counter.
+        Restoring one must ignore both: the resumed run's verdict and its
+        next checkpoint equal those of a fresh round trip."""
+        def resume(legacy):
+            vfs = VirtualFileSystem()
+            vfs._ensure_dirs(DOCUMENTS)
+            for i in range(12):
+                vfs.peek_write(DOCUMENTS / f"doc{i}.txt", _text(i))
+            monitor = CryptoDropMonitor(vfs).attach()
+            pid = vfs.processes.spawn("locker.exe").pid
+            _encrypt_docs(vfs, pid, range(2))
+            state = monitor.checkpoint()
+            monitor.detach()
+            if legacy:
+                state["streams"] = {"started": 3, "finalized": 1,
+                                    "bytes_streamed": 4096,
+                                    "fallbacks": {"nonsequential": 1}}
+                state["cache"]["digest_cache"]["bytes_streamed"] = 4096
+            resumed = CryptoDropMonitor.from_checkpoint(vfs, state).attach()
+            _encrypt_docs(vfs, pid, range(2, 12))
+            verdict = [(d.process_name, d.score, d.union_fired,
+                        sorted(d.flags), d.trigger_path)
+                       for d in resumed.detections]
+            after = resumed.checkpoint()
+            del after["op_wall_us"]   # measured wall time, never identical
+            return verdict, after
+
+        fresh_verdict, fresh_state = resume(legacy=False)
+        legacy_verdict, legacy_state = resume(legacy=True)
+        assert fresh_verdict, "the resumed encryptor must be suspended"
+        assert legacy_verdict == fresh_verdict
+        assert legacy_state == fresh_state
+        assert "streams" not in legacy_state
+        assert "bytes_streamed" not in legacy_state["cache"]["digest_cache"]

@@ -1,19 +1,14 @@
-"""Streaming incremental digests (ISSUE 7).
-
-The contract under test, layer by layer:
+"""Streaming incremental digests and the scheduler's pending-bytes cap.
 
 * :class:`StreamingDigestState` must produce **bit-identical** digests to
   whole-buffer :func:`sdhash` for *every* chunking of the same bytes —
   including chunks smaller than one ``WINDOW``, anchors whose context
   straddles chunk boundaries, and the ``None`` gates (size / feature
   floors) — and its in-flight state must survive a JSON checkpoint
-  round-trip without perturbing the result.
-* The engine must stream append-only write patterns and fall back to the
-  whole-content close path (counted per reason) on anything else:
-  overwrites, seeks, truncates, handle interleaving, length mismatches.
-* Detection output — scores, verdicts, timelines, recorded baselines —
-  must be bit-identical with ``streaming_digests`` on or off, in plain
-  runs and under an injected-fault chaos campaign.
+  round-trip without perturbing the result.  The engine does not use it:
+  every close digests the whole content through the lazy, batched path.
+* The InspectionScheduler's pending-bytes watermark bounds what deferred
+  captures retain, and its gauge tracks the retained bytes exactly.
 """
 
 import json
@@ -25,15 +20,11 @@ from repro.core import CryptoDropConfig, CryptoDropMonitor
 from repro.core.filestate import DigestCache
 from repro.corpus.wordlists import paragraphs
 from repro.crypto import chacha20_xor
-from repro.faults import FaultInjector, transient_faults
 from repro.fs import DOCUMENTS, ProcessSuspended, TEMP, VirtualFileSystem
-from repro.ransomware import instantiate, working_cohort
-from repro.sandbox import run_sample
 from repro.simhash import sdhash
 from repro.simhash.sdhash import (MIN_DIGEST_BYTES, WINDOW,
                                   StreamingDigestState, _STREAM_TAIL,
                                   sdhash_scalar)
-from repro.telemetry import StreamDigestFinalized, event_from_dict
 
 KEY, NONCE = bytes(32), bytes(12)
 
@@ -203,7 +194,6 @@ def env():
         vfs._ensure_dirs(TEMP)
         for i in range(12):
             vfs.peek_write(DOCUMENTS / f"doc{i}.txt", _text(i))
-        overrides.setdefault("stream_digest_min_bytes", 0)
         config = CryptoDropConfig(telemetry_enabled=True, **overrides)
         monitor = CryptoDropMonitor(vfs, config=config).attach()
         pid = vfs.processes.spawn("sample.exe").pid
@@ -225,201 +215,6 @@ def _run_encryptor(vfs, monitor, pid):
             _encrypt_in_place(vfs, pid, DOCUMENTS / f"doc{i}.txt")
     except ProcessSuspended:
         pass
-
-
-def _append_file(vfs, pid, path, chunks):
-    handle = vfs.open(pid, path, "w", create=True, truncate=True)
-    for chunk in chunks:
-        vfs.write(pid, handle, chunk)
-    vfs.close(pid, handle)
-
-
-def _detection_output(monitor, pid):
-    """Everything the ISSUE's identity invariant covers: verdicts,
-    score trajectories, and the telemetry-rebuilt timeline."""
-    report = monitor.export_report()
-    timeline = monitor.timeline(root_pid=monitor.engine._root_pid(pid))
-    return {
-        "detections": report["detections"],
-        "processes": report["processes"],
-        "timeline": [(e.timestamp_us, e.indicator, e.points,
-                      e.score_after, e.path) for e in timeline.entries],
-        "union": None if timeline.union is None
-                 else (timeline.union.timestamp_us,
-                       timeline.union.score_after,
-                       timeline.union.threshold_after),
-    }
-
-
-class TestEngineStreaming:
-    def test_append_only_writes_stream_the_close(self, env):
-        vfs, monitor, pid = env()
-        content = _text(50, 30_000)
-        _append_file(vfs, pid, DOCUMENTS / "fresh.txt",
-                     _chunked(content, 4096))
-        # re-open and rewrite the whole file at offset 0: still a valid
-        # stream (the write mirrors the final content exactly)
-        _encrypt_in_place(vfs, pid, DOCUMENTS / "fresh.txt")
-        stats = monitor.engine.stream_stats()
-        assert stats["enabled"]
-        assert stats["started"] >= 2
-        assert stats["finalized"] >= 1
-        assert stats["bytes_streamed"] >= len(content)
-        assert stats["in_flight"] == 0
-        assert monitor.stats()["streaming"] == stats
-        dc = monitor.engine.cache.digest_cache
-        assert dc.stats()["bytes_streamed"] >= len(content)
-
-    def test_streamed_digest_matches_whole_file(self, env):
-        vfs, monitor, pid = env()
-        content = _text(51, 20_000)
-        _append_file(vfs, pid, DOCUMENTS / "streamed.bin",
-                     _chunked(content, 1000))
-        node_id = vfs.peek_stat(DOCUMENTS / "streamed.bin").node_id
-        record = monitor.engine.cache.get(node_id)
-        assert record is not None and record.base_digest is not None
-        assert record.base_digest.hexdigest() == sdhash(content).hexdigest()
-
-    def test_nonsequential_write_falls_back(self, env):
-        vfs, monitor, pid = env()
-        handle = vfs.open(pid, DOCUMENTS / "seeky.txt", "w", create=True)
-        vfs.write(pid, handle, b"a" * 1000)
-        vfs.seek(pid, handle, 0)
-        vfs.write(pid, handle, b"b" * 10)
-        vfs.close(pid, handle)
-        stats = monitor.engine.stream_stats()
-        assert stats["fallbacks"].get("nonsequential", 0) >= 1
-        assert stats["finalized"] == 0
-
-    def test_truncate_falls_back(self, env):
-        vfs, monitor, pid = env()
-        handle = vfs.open(pid, DOCUMENTS / "trunc.txt", "w", create=True)
-        vfs.write(pid, handle, b"c" * 1000)
-        vfs.truncate_handle(pid, handle, 100)
-        vfs.close(pid, handle)
-        stats = monitor.engine.stream_stats()
-        assert stats["fallbacks"].get("truncate", 0) >= 1
-
-    def test_reopen_with_truncate_drops_other_handles_stream(self, env):
-        vfs, monitor, pid = env()
-        h1 = vfs.open(pid, DOCUMENTS / "reopen.txt", "w", create=True)
-        vfs.write(pid, h1, b"d" * 2000)
-        vfs.open(pid, DOCUMENTS / "reopen.txt", "w", truncate=True)
-        stats = monitor.engine.stream_stats()
-        assert stats["fallbacks"].get("truncate", 0) >= 1
-        assert stats["in_flight"] == 0
-
-    def test_handle_interleave_falls_back(self, env):
-        vfs, monitor, pid = env()
-        h1 = vfs.open(pid, DOCUMENTS / "shared.txt", "w", create=True)
-        vfs.write(pid, h1, b"e" * 1500)
-        h2 = vfs.open(pid, DOCUMENTS / "shared.txt", "rw")
-        vfs.seek(pid, h2, 1500)
-        vfs.write(pid, h2, b"f" * 10)
-        stats = monitor.engine.stream_stats()
-        assert stats["fallbacks"].get("handle_interleave", 0) >= 1
-        vfs.close(pid, h2)
-        vfs.close(pid, h1)
-
-    def test_partial_overwrite_is_a_length_mismatch(self, env):
-        vfs, monitor, pid = env()
-        # doc0 holds ~6000 bytes; an offset-0 write of 100 starts a
-        # stream that never sees the surviving tail
-        handle = vfs.open(pid, DOCUMENTS / "doc0.txt", "rw")
-        vfs.write(pid, handle, b"g" * 100)
-        vfs.close(pid, handle)
-        stats = monitor.engine.stream_stats()
-        assert stats["fallbacks"].get("length_mismatch", 0) >= 1
-        assert stats["finalized"] == 0
-
-    def test_streaming_off_starts_no_streams(self, env):
-        vfs, monitor, pid = env(streaming_digests=False)
-        _run_encryptor(vfs, monitor, pid)
-        stats = monitor.engine.stream_stats()
-        assert not stats["enabled"]
-        assert stats["started"] == stats["finalized"] == 0
-
-    def test_buffered_below_threshold_is_not_a_fallback(self, env):
-        vfs, monitor, pid = env(stream_digest_min_bytes=1 << 20)
-        _append_file(vfs, pid, DOCUMENTS / "small.txt",
-                     _chunked(_text(52, 5000), 512))
-        stats = monitor.engine.stream_stats()
-        assert stats["started"] >= 1
-        # never crossed the threshold: no numpy work was done, the close
-        # takes the whole-content path without counting a fallback
-        assert stats["finalized"] == 0
-        assert stats["fallbacks"] == {}
-
-
-class TestStreamingIdentity:
-    def test_detection_output_identical_streaming_on_off(self, env):
-        outputs = []
-        for streaming in (True, False):
-            vfs, monitor, pid = env(streaming_digests=streaming)
-            _run_encryptor(vfs, monitor, pid)
-            outputs.append(_detection_output(monitor, pid))
-            monitor.detach()
-        assert outputs[0] == outputs[1]
-
-    def test_checkpoints_identical_streaming_on_off(self, env):
-        states = []
-        for streaming in (True, False):
-            vfs, monitor, pid = env(streaming_digests=streaming)
-            _run_encryptor(vfs, monitor, pid)
-            state = monitor.checkpoint()
-            # the knob changes how digests materialise, never their
-            # value: everything except the bookkeeping counters must be
-            # bit-identical (recorded baselines included)
-            del state["telemetry"]
-            del state["op_wall_us"]
-            del state["streams"]
-            del state["cache"]["digest_cache"]
-            states.append(state)
-        assert states[0] == states[1]
-
-    def test_stream_counters_survive_checkpoint(self, env):
-        vfs, monitor, pid = env()
-        _append_file(vfs, pid, DOCUMENTS / "persist.txt",
-                     _chunked(_text(53, 10_000), 1024))
-        before = monitor.engine.stream_stats()
-        assert before["finalized"] >= 1
-        restored = CryptoDropMonitor.from_checkpoint(
-            VirtualFileSystem(), monitor.checkpoint(),
-            config=CryptoDropConfig(telemetry_enabled=True,
-                                    stream_digest_min_bytes=0))
-        after = restored.engine.stream_stats()
-        for key in ("started", "finalized", "bytes_streamed", "fallbacks"):
-            assert after[key] == before[key]
-        assert after["in_flight"] == 0
-
-    @pytest.mark.chaos
-    def test_chaos_campaign_verdicts_identical_streaming_on_off(
-            self, machine):
-        def verdict(result):
-            return (result.sample_name, result.detected, result.suspended,
-                    result.files_lost, result.score, result.threshold,
-                    result.union_fired, sorted(result.flags), result.error,
-                    result.completed)
-
-        subset = [s.profile for s in working_cohort()
-                  if s.profile.family in ("xorist", "teslacrypt")][:4]
-        plan = transient_faults(seed=41, deny_rate=0.05,
-                                short_read_rate=0.05,
-                                latency_spike_rate=0.02)
-        sweeps = []
-        for streaming in (True, False):
-            config = CryptoDropConfig(streaming_digests=streaming,
-                                      stream_digest_min_bytes=0)
-            injector = FaultInjector(plan)
-            machine.vfs.filters.attach(injector)
-            try:
-                results = [run_sample(machine, instantiate(p), config)
-                           for p in subset]
-            finally:
-                machine.vfs.filters.detach(injector)
-            assert injector.stats()["ops_seen"] > 0
-            sweeps.append([verdict(r) for r in results])
-        assert sweeps[0] == sweeps[1]
 
 
 class TestSchedulerWatermark:
@@ -469,52 +264,3 @@ class TestSchedulerWatermark:
         _run_encryptor(vfs, monitor, pid)
         # the default 64 MiB cap is far above what 12 docs can pend
         assert monitor.engine.scheduler.stats()["forced_flushes"] == 0
-
-
-class TestStreamingTelemetry:
-    def test_streamed_close_emits_event_and_counters(self, env):
-        vfs, monitor, pid = env()
-        content = _text(54, 15_000)
-        _append_file(vfs, pid, DOCUMENTS / "telem.txt",
-                     _chunked(content, 2048))
-        events = monitor.telemetry.bus.events("stream_digest_finalized")
-        assert events, "streamed close must emit StreamDigestFinalized"
-        event = events[-1]
-        assert event.size == len(content)
-        assert event.chunks == len(_chunked(content, 2048))
-        assert event.features > 0
-        assert event.path.endswith("telem.txt")
-        metrics = monitor.telemetry_export()["metrics"]
-        streamed = metrics[
-            "cryptodrop_incremental_digest_bytes_total"]["state"]
-        assert streamed and streamed[0][1] >= float(len(content))
-
-    def test_fallback_counter_labelled_by_reason(self, env):
-        vfs, monitor, pid = env()
-        handle = vfs.open(pid, DOCUMENTS / "fb.txt", "w", create=True)
-        vfs.write(pid, handle, b"h" * 800)
-        vfs.seek(pid, handle, 0)
-        vfs.write(pid, handle, b"i")
-        vfs.close(pid, handle)
-        metrics = monitor.telemetry_export()["metrics"]
-        state = metrics["cryptodrop_stream_digest_fallback_total"]["state"]
-        reasons = {dict(map(tuple, labels)).get("reason"): value
-                   for labels, value in state}
-        assert reasons.get("nonsequential", 0) >= 1
-
-    def test_event_roundtrips_through_dict(self):
-        event = StreamDigestFinalized(12.5, path="x.txt", size=9,
-                                      features=3, chunks=2)
-        assert event_from_dict(event.as_dict()) == event
-
-    def test_ingest_shard_reports_stream_stats(self, machine):
-        from repro.ingest import MonitorShard
-        shard = MonitorShard("tenant-x", machine, [],
-                             config=CryptoDropConfig(telemetry_enabled=True))
-        assert shard.stats()["streaming"] is None  # not started yet
-        shard.start()
-        try:
-            streaming = shard.stats()["streaming"]
-            assert streaming is not None and streaming["enabled"]
-        finally:
-            shard.stop()
