@@ -30,7 +30,8 @@ from .events import (EVENT_TYPES, BaselineResolved, BreakerTripped,
                      FaultInjected, IndicatorFired, LoadShed,
                      ProcessSuspended, ScoreDelta, ShardRestarted,
                      StoreBuilt, StoreOpened, StorePageIn,
-                     TelemetryEvent, UnionBoost, event_from_dict, events_as_dicts)
+                     TelemetryEvent, UnionBoost, event_from_dict,
+                     events_as_dicts)
 from .export import (JsonlWriter, read_jsonl, render_prometheus,
                      validate_exposition, write_jsonl)
 from .metrics import (BATCH_SIZE_BUCKETS, FILES_LOST_BUCKETS,
